@@ -69,7 +69,8 @@ pub struct TopicConfig {
     pub subscribers: usize,
     /// Tree-truncation policy (unbounded/sharded backends only).
     pub reclaim: Option<ReclaimPolicy>,
-    /// Shard routing policy (sharded backend only).
+    /// Shard routing (sharded backend only; `None` means
+    /// [`Routing::Nearest`], the only routing a sharded topic accepts).
     pub routing: Option<Routing>,
     /// Hardware placement for topology-aware routing (sharded only).
     pub placement: Option<PlacementConfig>,

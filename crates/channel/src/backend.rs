@@ -76,8 +76,9 @@ pub(crate) enum Backend<T: Clone + Send + Sync + 'static> {
     /// The wCQ-style bounded ring (`wfqueue_ring`): capacity-bounded
     /// *natively* — full/empty detection lives in the ring's ticket
     /// counters, so channels over it skip the channel-layer capacity
-    /// gate entirely (`Shared::capacity` stays `None`).
-    Ring(Ring<T>),
+    /// gate entirely (`Shared::capacity` stays `None`). Boxed: its
+    /// cache-padded ticket counters make it by far the largest variant.
+    Ring(Box<Ring<T>>),
 }
 
 impl<T: Clone + Send + Sync + 'static> Backend<T> {
@@ -176,7 +177,7 @@ impl<T: Clone + Send + Sync + 'static> Backend<T> {
             }
             Backend::Ring(q) => {
                 // SAFETY: as above.
-                let q: &'static Ring<T> = unsafe { &*std::ptr::from_ref(q) };
+                let q: &'static Ring<T> = unsafe { &*std::ptr::from_ref(&**q) };
                 q.register().map(RawHandle::Ring)
             }
         }

@@ -129,7 +129,7 @@ impl Channel {
 /// supports; see [`Channel::builder`].
 ///
 /// Knobs left unset take the same defaults the free constructors use
-/// (reclaim `EveryKRootBlocks(64)`, routing `Rendezvous`, detected
+/// (reclaim `EveryKRootBlocks(64)`, routing `Nearest`, detected
 /// placement, paper-default GC period). Setting a knob the chosen backend
 /// cannot honour is a [`BuildError`], not a silent ignore.
 #[derive(Debug, Clone, Copy)]
@@ -165,16 +165,16 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
         self
     }
 
-    /// Sets the routing policy — [`Backend::Sharded`] only (default:
-    /// [`Routing::Rendezvous`]). The policy's receive scan must cover
-    /// every shard.
+    /// Sets the routing — [`Backend::Sharded`] only (default:
+    /// [`Routing::Nearest`]). The receive scan must cover every shard, so
+    /// [`Routing::PerProducer`] is rejected.
     pub fn routing(mut self, routing: Routing) -> Self {
         self.routing = Some(routing);
         self
     }
 
-    /// Sets the hardware placement consulted by the topology-aware routing
-    /// policies — [`Backend::Sharded`] only (default:
+    /// Sets the hardware placement consulted by [`Routing::Nearest`]'s
+    /// scan order — [`Backend::Sharded`] only (default:
     /// [`PlacementConfig::Detect`]).
     pub fn placement(mut self, placement: PlacementConfig) -> Self {
         self.placement = Some(placement);
@@ -196,7 +196,7 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
     /// [`BuildError`] naming the first inconsistency: a zero capacity /
     /// shard count / endpoint budget, a ring capacity beyond
     /// [`wfqueue_ring::MAX_CAPACITY`], a knob the chosen backend does not
-    /// support, or a sharded routing policy without full scan coverage.
+    /// support, or [`Routing::PerProducer`] on the sharded backend.
     ///
     /// # Examples
     ///
@@ -229,12 +229,12 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
                 };
                 (Queue::SpaceBounded(queue), Some(capacity))
             }
-            Backend::Ring { capacity } => (Queue::Ring(Ring::new(capacity, total)), None),
+            Backend::Ring { capacity } => (Queue::Ring(Box::new(Ring::new(capacity, total))), None),
             Backend::Sharded { shards } => (
                 Queue::Sharded(wfqueue_shard::ShardedUnbounded::with_reclaim_placed(
                     shards,
                     total,
-                    self.routing.unwrap_or(Routing::Rendezvous),
+                    self.routing.unwrap_or(Routing::Nearest),
                     reclaim,
                     self.placement.unwrap_or_default(),
                 )),
@@ -291,12 +291,7 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
                 if shards == 0 {
                     return Err(BuildError::ZeroShards);
                 }
-                if !self
-                    .routing
-                    .unwrap_or(Routing::Rendezvous)
-                    .policy()
-                    .full_coverage()
-                {
+                if self.routing == Some(Routing::PerProducer) {
                     return Err(BuildError::PartialCoverageRouting);
                 }
             }
@@ -391,7 +386,7 @@ mod tests {
             }
         );
         assert_eq!(
-            build(Channel::builder().routing(Routing::RoundRobin)),
+            build(Channel::builder().routing(Routing::Nearest)),
             BuildError::RoutingUnsupported {
                 backend: "unbounded"
             }

@@ -172,8 +172,7 @@ impl<T: Clone + Send + Sync + 'static> Shared<T> {
     /// capacity-blocked senders (no-op on unbounded channels).
     fn release(&self, n: usize) {
         if self.capacity.is_some() {
-            // One RMW, approximated as load + store in the step model
-            // (same accounting as the shard crate's rendezvous ticket).
+            // One RMW, approximated as load + store in the step model.
             wfqueue_metrics::record_shared_load();
             wfqueue_metrics::record_shared_store();
             // ORDERING: SC release of the slot; pairs with try_reserve.

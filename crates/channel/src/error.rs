@@ -222,9 +222,9 @@ pub enum BuildError {
         /// The backend that was requested.
         backend: &'static str,
     },
-    /// The sharded backend was configured with a routing policy whose
-    /// receive scan does not cover every shard (e.g. `PerProducer`), so a
-    /// receiver could never observe values sent on the other shards.
+    /// The sharded backend was configured with `Routing::PerProducer`,
+    /// whose receive scan does not cover every shard, so a receiver could
+    /// never observe values sent on the other shards.
     PartialCoverageRouting,
 }
 
@@ -269,9 +269,8 @@ impl fmt::Display for BuildError {
             ),
             BuildError::PartialCoverageRouting => write!(
                 f,
-                "a sharded channel needs a full-coverage routing policy (Rendezvous, Nearest, \
-                 Adaptive or RoundRobin): a routing that pins receivers to one shard could \
-                 never observe values sent on the others"
+                "a sharded channel needs a full-coverage routing (Nearest): a routing that \
+                 pins receivers to one shard could never observe values sent on the others"
             ),
         }
     }

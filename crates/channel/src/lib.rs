@@ -57,7 +57,7 @@
 //! A [`Backend::Sharded`] channel multiplies root-CAS bandwidth but
 //! relaxes ordering to per-sender FIFO (each sender's values arrive in
 //! order; values of different senders on different shards carry no order)
-//! — the semantics of [`wfqueue_shard::Routing::Rendezvous`] by default.
+//! — the semantics of its [`wfqueue_shard::Routing::Nearest`] routing.
 //! The single-queue backends are fully linearizable FIFO. At equal
 //! capacity, [`Backend::BoundedTree`] keeps the paper's wait-free
 //! polylogarithmic step bound while [`Backend::Ring`] trades two
@@ -240,39 +240,33 @@ pub struct ShardedConfig {
     /// Endpoint budget (each shard's tree is sized per the routing
     /// policy).
     pub endpoints: Endpoints,
-    /// Routing policy. The default, [`Routing::Rendezvous`], keeps
-    /// per-sender FIFO and starvation-free sweeping receivers;
-    /// [`Routing::Nearest`] keeps the same contract while replacing the
-    /// global rotating sweep ticket with the contention-aware
-    /// nearest-nonempty scan, and [`Routing::Adaptive`] additionally
-    /// re-homes contended senders; [`Routing::RoundRobin`] trades
-    /// per-sender FIFO away for load spread. [`Routing::PerProducer`] is
-    /// **rejected** (the constructor panics): it pins *receivers* to one
-    /// shard too, so a receiver could never observe values sent on the
-    /// other shards — which would break the channel contract that any
-    /// receiver can receive any value and that `recv` drains everything
-    /// before reporting a disconnect. The rule is policy-generic: any
-    /// routing whose scan does not cover every shard
-    /// ([`wfqueue_shard::RoutePolicy::full_coverage`]) is rejected.
+    /// Routing. The default and only accepted value is
+    /// [`Routing::Nearest`]: each sender's values stay on its home shard
+    /// (per-sender FIFO), and receivers scan every shard, hinted-nonempty
+    /// nearest first. [`Routing::PerProducer`] is **rejected** (the
+    /// constructor panics): it pins *receivers* to one shard too, so a
+    /// receiver could never observe values sent on the other shards —
+    /// which would break the channel contract that any receiver can
+    /// receive any value and that `recv` drains everything before
+    /// reporting a disconnect.
     pub routing: Routing,
-    /// Hardware placement consulted by the topology-aware policies
-    /// (`Nearest`/`Adaptive`): [`PlacementConfig::Detect`] reads
-    /// `/sys/devices/system/cpu` once (with a deterministic fallback);
-    /// tests and reproducible benchmarks pin [`PlacementConfig::Flat`] or
-    /// [`PlacementConfig::Uniform`]. Ignored by the legacy policies.
+    /// Hardware placement that orders [`Routing::Nearest`]'s scan:
+    /// [`PlacementConfig::Detect`] reads `/sys/devices/system/cpu` once
+    /// (with a deterministic fallback); tests and reproducible benchmarks
+    /// pin [`PlacementConfig::Flat`] or [`PlacementConfig::Uniform`].
     pub placement: PlacementConfig,
     /// Per-shard tree-truncation policy (see [`UnboundedConfig::reclaim`]).
     pub reclaim: ReclaimPolicy,
 }
 
 impl Default for ShardedConfig {
-    /// 4 shards, rendezvous routing, default endpoints, truncation every
+    /// 4 shards, nearest routing, default endpoints, truncation every
     /// 64 root blocks.
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
             endpoints: Endpoints::default(),
-            routing: Routing::Rendezvous,
+            routing: Routing::Nearest,
             placement: PlacementConfig::default(),
             reclaim: ReclaimPolicy::EveryKRootBlocks(64),
         }
@@ -380,9 +374,9 @@ pub fn bounded_with<T: Clone + Send + Sync + 'static>(
 /// # Panics
 ///
 /// Panics if the shard count, an endpoint budget or the reclaim period is
-/// zero, or if `cfg.routing`'s scan does not cover every shard — e.g.
-/// [`Routing::PerProducer`] (see [`ShardedConfig::routing`] — a pinned
-/// receiver could never drain the other shards).
+/// zero, or if `cfg.routing` is [`Routing::PerProducer`] (see
+/// [`ShardedConfig::routing`] — a pinned receiver could never drain the
+/// other shards).
 ///
 /// # Examples
 ///

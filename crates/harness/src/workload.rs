@@ -697,7 +697,7 @@ mod tests {
             batch_size: 2,
             ..BatchWorkloadSpec::default()
         };
-        let q = WfShardedUnbounded::new(2, 1, Routing::Rendezvous);
+        let q = WfShardedUnbounded::new(2, 1, Routing::Nearest);
         let err = try_run_batch_workload(&q, &spec).unwrap_err();
         assert_eq!((err.requested, err.available), (3, 1));
     }
@@ -705,8 +705,8 @@ mod tests {
     #[test]
     fn mixed_run_audits_pass_on_sharded_composites() {
         // Per-producer FIFO and no-duplication must hold on the composite
-        // for every FIFO-preserving routing policy and shard count.
-        for routing in [Routing::PerProducer, Routing::Rendezvous] {
+        // under both routings and every shard count.
+        for routing in [Routing::PerProducer, Routing::Nearest] {
             for shards in [1usize, 2, 4] {
                 let q = WfShardedUnbounded::new(shards, 4, routing);
                 let spec = WorkloadSpec {
@@ -724,7 +724,7 @@ mod tests {
 
     #[test]
     fn batch_workload_audits_pass_on_sharded_composites() {
-        for routing in [Routing::PerProducer, Routing::Rendezvous] {
+        for routing in [Routing::PerProducer, Routing::Nearest] {
             let q = WfShardedUnbounded::new(2, 4, routing);
             let spec = BatchWorkloadSpec {
                 threads: 4,

@@ -116,12 +116,17 @@ fn try_path_parity_sharded() {
             senders: 1,
             receivers: 1,
         },
-        routing: Routing::Rendezvous,
+        routing: Routing::Nearest,
         placement: PlacementConfig::Flat,
         reclaim: ReclaimPolicy::Off,
     };
     let (mut tx, mut rx) = sharded::<u64>(cfg);
-    let raw = wfqueue_shard::ShardedUnbounded::<u64>::new(2, 2, Routing::Rendezvous);
+    let raw = wfqueue_shard::ShardedUnbounded::<u64>::new_placed(
+        2,
+        2,
+        Routing::Nearest,
+        PlacementConfig::Flat,
+    );
     let mut raw_enq = raw.try_handle().unwrap();
     let mut raw_deq = raw.try_handle().unwrap();
 
@@ -555,7 +560,7 @@ proptest! {
         check_drop_script(&script, || sharded(ShardedConfig {
             shards: 2,
             endpoints: Endpoints { senders: 3, receivers: 3 },
-            routing: Routing::Rendezvous,
+            routing: Routing::Nearest,
             placement: PlacementConfig::Flat,
             reclaim: ReclaimPolicy::Off,
         }))?;
